@@ -47,6 +47,10 @@ class AmpiEnvelope:
     seq: int = 0  # per (src,dst,comm) sequence, diagnostics only
     value: object = None  # value-based payload (collectives internals)
 
+    def accepted_by(self, req: "PostedMpiRecv") -> bool:
+        """Match predicate over posted receives."""
+        return req.matches(self)
+
 
 @dataclass
 class PostedMpiRecv:
@@ -93,9 +97,7 @@ class MatchEngine:
 
     def match_envelope(self, env: AmpiEnvelope) -> tuple[Optional[PostedMpiRecv], int]:
         """Envelope arrived: return (matching posted recv or None, #scanned)."""
-        req, scanned = self.posted.match(
-            (env.comm, env.src, env.tag), lambda r: r.matches(env)
-        )
+        req, scanned = self.posted.match((env.comm, env.src, env.tag), env.accepted_by)
         self.scanned_total += scanned
         if req is None:
             self.unexpected.append(env, key=(env.comm, env.src, env.tag))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.ampi.datatypes import Datatype
@@ -43,7 +44,7 @@ from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import NULL_SPAN, EndSpan
 from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
 
@@ -76,6 +77,31 @@ class MpiCommError(RuntimeError):
 
 
 _host_send_ids = itertools.count(1)
+
+
+class _MpiSendEvent(SimEvent):
+    """Completion event of one AMPI send.  It is also the context of the
+    device path's completion callbacks (the ``CkDeviceBuffer`` callback of
+    Fig. 7), which are therefore its bound methods, not per-send closures."""
+
+    __slots__ = ("rank", "dst", "nbytes")
+
+    def __init__(self, rank: "AmpiRank", dst: int, nbytes: int) -> None:
+        super().__init__(rank.sim, name=f"mpi.send r{rank.rank}->r{dst}")
+        self.rank = rank
+        self.dst = dst
+        self.nbytes = nbytes
+
+    def device_sent(self) -> None:
+        rt = self.rank.ampi.rt
+        self.rank.ampi.machine.tracer.charge("ampi", rt.ampi_callback_overhead)
+        self.sim.schedule(rt.ampi_callback_overhead, self.succeed, None)
+
+    def device_failed(self, status) -> None:
+        self.fail(MpiCommError(
+            f"MPI_Send of {self.nbytes} B r{self.rank.rank}->r{self.dst} "
+            f"failed: {status.name}", status,
+        ))
 
 
 class _CollectiveApi:
@@ -338,7 +364,7 @@ class AmpiRank(_CollectiveApi):
         elif tag < 0:
             raise ValueError("negative tags are reserved")
 
-        ev = SimEvent(sim, name=f"mpi.send r{self.rank}->r{dst}")
+        ev = _MpiSendEvent(self, dst, nbytes)
         env = AmpiEnvelope(
             src=self.rank, dst=dst, tag=tag, comm=comm, size=nbytes,
             seq=self._next_seq(dst),
@@ -362,37 +388,15 @@ class AmpiRank(_CollectiveApi):
                 "ampi", "mpi_send",
                 rank=self.rank, dst=dst, tag=tag, size=nbytes, device=is_dev,
             )
-            ev.add_callback(lambda _e, _sp=asp: _sp.end())
+            ev.add_callback(EndSpan(asp))
         else:
             asp = NULL_SPAN
 
         if buf is not None and is_dev:
             # Fig. 7: CkDeviceBuffer + callback; GPU data via LrtsSendDevice.
-            def _notify_sender() -> None:
-                tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.schedule(rt.ampi_callback_overhead, ev.succeed, None)
-
-            def _send_failed(status) -> None:
-                ev.fail(MpiCommError(
-                    f"MPI_Send of {nbytes} B r{self.rank}->r{dst} failed: "
-                    f"{status.name}", status,
-                ))
-
-            dev_meta = CkDeviceBuffer(ptr=buf, size=nbytes)
-            env.dev_meta = dev_meta
-
-            def _go_device() -> None:
-                with tracer.under(asp):
-                    ampi.charm.converse.cmi_send_device(
-                        self.pe, ampi.rank_pe(dst), dev_meta,
-                        on_complete=_notify_sender, on_error=_send_failed,
-                    )
-                    ampi._send_envelope(self.pe, env, host_bytes=0)
-                if tracer.flight.enabled:
-                    tracer.flight.metadata_sent(dev_meta.tag)
-
+            env.dev_meta = CkDeviceBuffer(ptr=buf, size=nbytes)
             tracer.charge("ampi", pre)
-            sim.schedule(self._cpu_delay(pre), _go_device)
+            sim.schedule(self._cpu_delay(pre), self._go_device, env, ev, asp)
             return ev
 
         if value is not None or buf is None:
@@ -415,15 +419,30 @@ class AmpiRank(_CollectiveApi):
                 # before handing it to the runtime (datatype handling).
                 pre += self.ampi.machine.cfg.topology.host_mem.transfer_time(nbytes)
 
-        def _go_host() -> None:
-            with tracer.under(asp):
-                ampi._send_envelope(self.pe, env, host_bytes=host_bytes)
-            if complete_on_delivery:
-                ev.succeed(None)
-
         tracer.charge("ampi", pre)
-        sim.schedule(self._cpu_delay(pre), _go_host)
+        sim.schedule(self._cpu_delay(pre), self._go_host, env, ev, asp,
+                     host_bytes, complete_on_delivery)
         return ev
+
+    def _go_device(self, env: AmpiEnvelope, ev: _MpiSendEvent, asp) -> None:
+        ampi = self.ampi
+        tracer = ampi.machine.tracer
+        dev_meta = env.dev_meta
+        with tracer.under(asp):
+            ampi.charm.converse.cmi_send_device(
+                self.pe, ampi.rank_pe(env.dst), dev_meta,
+                on_complete=ev.device_sent, on_error=ev.device_failed,
+            )
+            ampi._send_envelope(self.pe, env, host_bytes=0)
+        if tracer.flight.enabled:
+            tracer.flight.metadata_sent(dev_meta.tag)
+
+    def _go_host(self, env: AmpiEnvelope, ev: SimEvent, asp, host_bytes: int,
+                 complete_on_delivery: bool) -> None:
+        with self.ampi.machine.tracer.under(asp):
+            self.ampi._send_envelope(self.pe, env, host_bytes=host_bytes)
+        if complete_on_delivery:
+            ev.succeed(None)
 
     def _recv_impl(
         self,
@@ -444,17 +463,18 @@ class AmpiRank(_CollectiveApi):
         if tracer.enabled:
             rsp = tracer.span("ampi", "mpi_recv", rank=self.rank, src=src, tag=tag)
             req.span = rsp
-            ev.add_callback(lambda _e, _sp=rsp: _sp.end())
-
-        def _post() -> None:
-            env, scanned = self.matching.match_recv(req)
-            if env is not None:
-                tracer.charge("ampi", rt.ampi_match_cost * scanned)
-                delay = rt.ampi_match_cost * scanned
-                sim.schedule(delay, ampi._complete_recv, self, env, req)
-
-        sim.schedule(self._cpu_delay(rt.ampi_recv_overhead), _post)
+            ev.add_callback(EndSpan(rsp))
+        sim.schedule(self._cpu_delay(rt.ampi_recv_overhead), self._post_recv, req)
         return ev
+
+    def _post_recv(self, req: PostedMpiRecv) -> None:
+        env, scanned = self.matching.match_recv(req)
+        if env is not None:
+            ampi = self.ampi
+            rt = ampi.rt
+            ampi.machine.tracer.charge("ampi", rt.ampi_match_cost * scanned)
+            delay = rt.ampi_match_cost * scanned
+            self.sim.schedule(delay, ampi._complete_recv, self, env, req)
 
 
 class Ampi:
@@ -486,6 +506,10 @@ class Ampi:
         # allocations; drop them from every PE's pointer cache
         self.machine.add_device_free_hook(self._on_device_free)
         self.pending_host_sends: Dict[int, SimEvent] = {}
+        # device-receive callbacks, bound once and shared by every receive
+        # (each receive's context rides on ``DeviceRdmaOp.context``)
+        self._device_recv_done_cb = self._device_recv_done
+        self._device_recv_failed_cb = self._device_recv_failed
         charm.converse.register_handler("ampi_msg", self._handle_envelope)
         charm.converse.register_handler("ampi_fin", self._handle_fin)
         charm.layer.register_device_recv_handler(
@@ -542,7 +566,6 @@ class Ampi:
     # -- receive completion --------------------------------------------------------------
     def _complete_recv(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv) -> None:
         sim = self.charm.sim
-        rt = self.rt
         status = MpiStatus(
             source=env.src, tag=env.tag, count=env.size, value=env.value
         )
@@ -562,27 +585,16 @@ class Ampi:
                 ))
                 return
 
-            tracer = self.machine.tracer
-
-            def _done(_op: DeviceRdmaOp) -> None:
-                tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.schedule(rt.ampi_callback_overhead, req.event.succeed, status)
-
-            def _failed(_op: DeviceRdmaOp, ucs_status) -> None:
-                req.event.fail(MpiCommError(
-                    f"MPI_Recv of {env.dev_meta.size} B on r{rank.rank} "
-                    f"failed: {ucs_status.name}", ucs_status,
-                ))
-
             op = DeviceRdmaOp(
                 dest=req.buf,
                 size=env.dev_meta.size,
                 tag=env.dev_meta.tag,
                 recv_type=DeviceRecvType.AMPI,
-                on_complete=_done,
-                on_error=_failed,
+                on_complete=self._device_recv_done_cb,
+                on_error=self._device_recv_failed_cb,
+                context=(rank, req, status),
             )
-            with tracer.under(req.span):
+            with self.machine.tracer.under(req.span):
                 self.charm.converse.cmi_recv_device(rank.pe, op)
             return
 
@@ -595,12 +607,7 @@ class Ampi:
 
         if env.payload is not None:  # inline eager payload
             copy = self.machine.cfg.topology.host_mem.transfer_time(env.size)
-
-            def _copied() -> None:
-                req.buf.copy_from(env.payload, env.size)
-                req.event.succeed(status)
-
-            sim.schedule(copy, _copied)
+            sim.schedule(copy, self._copy_inline, env, req, status)
             return
 
         if env.src_host_buf is not None:  # zero-copy rendezvous fetch
@@ -628,30 +635,58 @@ class Ampi:
                 else 0.0
             )
 
-            def _fetched(_ev) -> None:
-                def _unpacked() -> None:
-                    req.buf.copy_from(env.src_host_buf, env.size)
-                    req.event.succeed(status)
-                    fin = CmiMessage(
-                        handler="ampi_fin",
-                        payload=env.host_send_id,
-                        host_bytes=0,
-                        src_pe=rank.pe,
-                        dst_pe=self.rank_pe(env.src),
-                    )
-                    self.charm.converse.cmi_send(rank.pe, fin)
-
-                sim.schedule(unpack, _unpacked)
-
             # pinning is CPU work on the receiving rank: serialise it
             sim.schedule(
                 rank._cpu_delay(pin) if pin else 0.0,
-                lambda: path_transfer(sim, route, env.size).add_callback(_fetched),
+                self._fetch_host, rank, env, req, status, route, unpack,
             )
             return
 
         # value-based message (collectives) or zero-byte message
         req.event.succeed(status)
+
+    # The receive continuations below carry their state as schedule
+    # arguments, partial arguments or the ``DeviceRdmaOp.context`` tuple.
+
+    def _device_recv_done(self, op: DeviceRdmaOp) -> None:
+        _rank, req, status = op.context
+        rt = self.rt
+        self.machine.tracer.charge("ampi", rt.ampi_callback_overhead)
+        self.charm.sim.schedule(rt.ampi_callback_overhead, req.event.succeed, status)
+
+    def _device_recv_failed(self, op: DeviceRdmaOp, ucs_status) -> None:
+        rank, req, _status = op.context
+        req.event.fail(MpiCommError(
+            f"MPI_Recv of {op.size} B on r{rank.rank} "
+            f"failed: {ucs_status.name}", ucs_status,
+        ))
+
+    def _copy_inline(self, env: AmpiEnvelope, req: PostedMpiRecv,
+                     status: MpiStatus) -> None:
+        req.buf.copy_from(env.payload, env.size)
+        req.event.succeed(status)
+
+    def _fetch_host(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv,
+                    status: MpiStatus, route, unpack: float) -> None:
+        path_transfer(self.charm.sim, route, env.size).add_callback(
+            partial(self._host_fetched, rank, env, req, status, unpack))
+
+    def _host_fetched(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv,
+                      status: MpiStatus, unpack: float, _ev) -> None:
+        self.charm.sim.schedule(unpack, self._host_unpacked, rank, env, req, status)
+
+    def _host_unpacked(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv,
+                       status: MpiStatus) -> None:
+        req.buf.copy_from(env.src_host_buf, env.size)
+        req.event.succeed(status)
+        fin = CmiMessage(
+            handler="ampi_fin",
+            payload=env.host_send_id,
+            host_bytes=0,
+            src_pe=rank.pe,
+            dst_pe=self.rank_pe(env.src),
+        )
+        self.charm.converse.cmi_send(rank.pe, fin)
 
 
 class CommView(_CollectiveApi):

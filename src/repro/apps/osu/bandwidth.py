@@ -34,6 +34,10 @@ class _CharmBwSender(Chare):
         self.h_out = cuda.malloc_host(node, size)
         self._ack = None
 
+    def free_buffers(self):
+        self.charm.cuda.free(self.d_send)
+        self.charm.cuda.free_host(self.h_out)
+
     def start(self, receiver):
         cuda = self.charm.cuda
         t0 = 0.0
@@ -69,6 +73,10 @@ class _CharmBwReceiver(Chare):
         self.h_in = cuda.malloc_host(node, size)
         self.count = 0
 
+    def free_buffers(self):
+        self.charm.cuda.free(self.d_recv)
+        self.charm.cuda.free_host(self.h_in)
+
     def _arrived(self, sender):
         self.count += 1
         if self.count == self.window:
@@ -101,7 +109,12 @@ def charm_bandwidth(
     sender = charm.create_chare(_CharmBwSender, ga, size, gpu_aware, loops, skip, window, done)
     receiver = charm.create_chare(_CharmBwReceiver, gb, size, window)
     sender.start(receiver)
-    return charm.run_until(done, max_events=20_000_000)
+    bandwidth = charm.run_until(done, max_events=20_000_000)
+    # like OSU's free_memory: the payloads go now, not when the collector
+    # reaches this session
+    for proxy in (sender, receiver):
+        charm.chares[proxy.chare_id].free_buffers()
+    return bandwidth
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +163,9 @@ def _mpi_bw_program(mpi, peers, size, gpu_aware, loops, skip, window, out):
             yield mpi.send(ackbuf, 8, dst=other, tag=201)
     if me == 0:
         out["bw"] = loops * window * size / (mpi.sim.now - t0)
+    cuda.free(d_buf)
+    cuda.free_host(h_stage)
+    cuda.free_host(ackbuf)
 
 
 def ampi_bandwidth(config, size, gpus, gpu_aware, loops, skip, window=WINDOW, session=None) -> float:
@@ -185,6 +201,10 @@ class _C4pBandwidth(PyChare):
         self.d_buf = cuda.malloc(self.gpu, size)
         node = self.charm.pe_object(self.pe).node
         self.h_stage = cuda.malloc_host(node, size)
+
+    def free_buffers(self):
+        self.c4p.cuda.free(self.d_buf)
+        self.c4p.cuda.free_host(self.h_stage)
 
     def run(self, partner):
         c4p = self.c4p
@@ -230,4 +250,7 @@ def charm4py_bandwidth(config, size, gpus, gpu_aware, loops, skip, window=WINDOW
     )
     arr[0].run(arr[1])
     arr[1].run(arr[0])
-    return c4p.run_until(done, max_events=20_000_000)
+    bandwidth = c4p.run_until(done, max_events=20_000_000)
+    for i in range(2):
+        c4p.charm.chares[arr[i].chare_id].free_buffers()
+    return bandwidth

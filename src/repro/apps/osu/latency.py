@@ -39,6 +39,13 @@ class _CharmLatency(Chare):
         self.t0 = None
         self.partner = None
 
+    def free_buffers(self):
+        cuda = self.charm.cuda
+        cuda.free(self.d_send)
+        cuda.free(self.d_recv)
+        cuda.free_host(self.h_out)
+        cuda.free_host(self.h_in)
+
     # -- driver (runs on index 0) ------------------------------------------------
     def start(self, partner):
         self.partner = partner
@@ -101,7 +108,12 @@ def charm_latency(
         mapping=lambda i: (ga, gb)[i],
     )
     arr[0].start(arr[1])
-    return charm.run_until(done, max_events=5_000_000)
+    latency = charm.run_until(done, max_events=5_000_000)
+    # like OSU's free_memory: the payloads go now, not when the collector
+    # reaches this session
+    for i in range(2):
+        charm.chares[arr[i].chare_id].free_buffers()
+    return latency
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +160,9 @@ def _mpi_latency_program(mpi, peers, size, gpu_aware, iters, skip, out):
                 yield mpi.send(h_out, size, dst=other, tag=101)
     if me == 0:
         out["latency"] = (mpi.sim.now - t0) / (2 * iters)
+    cuda.free(d_buf)
+    cuda.free_host(h_out)
+    cuda.free_host(h_in)
 
 
 def ampi_latency(config, size, gpus, gpu_aware, iters, skip, session=None) -> float:
@@ -184,6 +199,13 @@ class _C4pLatency(PyChare):
         node = self.charm.pe_object(self.pe).node
         self.h_out = cuda.malloc_host(node, size)
         self.h_in = cuda.malloc_host(node, size)
+
+    def free_buffers(self):
+        cuda = self.c4p.cuda
+        cuda.free(self.d_send)
+        cuda.free(self.d_recv)
+        cuda.free_host(self.h_out)
+        cuda.free_host(self.h_in)
 
     def run(self, partner):
         c4p = self.c4p
@@ -236,4 +258,9 @@ def charm4py_latency(config, size, gpus, gpu_aware, iters, skip, session=None) -
     )
     arr[0].run(arr[1])
     arr[1].run(arr[0])
-    return c4p.run_until(done, max_events=5_000_000)
+    latency = c4p.run_until(done, max_events=5_000_000)
+    # channel sends complete at injection, so the buffers are freed here,
+    # once the run is over, not at the end of ``run``
+    for i in range(2):
+        c4p.charm.chares[arr[i].chare_id].free_buffers()
+    return latency

@@ -101,17 +101,7 @@ class Channel:
                 "charm4py", "channel_send",
                 src_pe=src_pe, dst_pe=dst_pe, size=size, device=True,
             )
-
-            def _go() -> None:
-                with tracer.under(sp):
-                    self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
-                    pkt = _Packet(kind="dev", dev_meta=dev_meta)
-                    self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
-                if tracer.flight.enabled:
-                    tracer.flight.metadata_sent(dev_meta.tag)
-                sp.end()
-
-            sim.schedule(cost, _go)
+            sim.schedule(cost, self._go_device, src_pe, dst_pe, dev_meta, sp)
             return Timeout(sim, cost)
 
         if any(isinstance(a, Buffer) and a.on_device for a in args):
@@ -126,15 +116,25 @@ class Channel:
             "charm4py", "channel_send",
             src_pe=src_pe, dst_pe=dst_pe, size=nbytes, device=False,
         )
-
-        def _go_host() -> None:
-            with tracer.under(sp):
-                pkt = _Packet(kind="host", value=value, nbytes=nbytes)
-                self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
-            sp.end()
-
-        sim.schedule(cost, _go_host)
+        sim.schedule(cost, self._go_host, src_pe, dst_pe, value, nbytes, sp)
         return Timeout(sim, cost)
+
+    def _go_device(self, src_pe: int, dst_pe: int, dev_meta: CkDeviceBuffer,
+                   sp) -> None:
+        tracer = self.charm.machine.tracer
+        with tracer.under(sp):
+            self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
+            pkt = _Packet(kind="dev", dev_meta=dev_meta)
+            self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
+        if tracer.flight.enabled:
+            tracer.flight.metadata_sent(dev_meta.tag)
+        sp.end()
+
+    def _go_host(self, src_pe: int, dst_pe: int, value, nbytes: int, sp) -> None:
+        with self.charm.machine.tracer.under(sp):
+            pkt = _Packet(kind="host", value=value, nbytes=nbytes)
+            self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
+        sp.end()
 
     def _post_packet(self, src_pe: int, dst_pe: int, pkt: _Packet, host_bytes: int) -> None:
         msg = CmiMessage(

@@ -178,17 +178,13 @@ class Charm4py:
         rsp = tracer.span(
             "charm4py", "channel_recv", pe=pe_index, size=meta.size, device=True,
         )
-
-        def _recv_complete(_op, _sp=rsp) -> None:
-            _sp.end()
-            future.send(None)
-
         op = DeviceRdmaOp(
             dest=buf,
             size=meta.size,
             tag=meta.tag,
             recv_type=DeviceRecvType.CHARM4PY,
-            on_complete=_recv_complete,
+            on_complete=self._channel_recv_done,
+            context=(future, rsp),
         )
         # Rendezvous-size device receives cross the Cython layer several
         # times (RTS handling, posting, completion); pipelined inter-node
@@ -206,14 +202,19 @@ class Charm4py:
                 delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
         tracer.charge("charm4py", delay)
         if delay > 0.0:
-            def _post() -> None:
-                with tracer.under(rsp):
-                    self.charm.converse.cmi_recv_device(pe_index, op)
-
-            self.sim.schedule(delay, _post)
+            self.sim.schedule(delay, self._post_device_recv, pe_index, op, rsp)
         else:
-            with tracer.under(rsp):
-                self.charm.converse.cmi_recv_device(pe_index, op)
+            self._post_device_recv(pe_index, op, rsp)
+
+    def _post_device_recv(self, pe_index: int, op: DeviceRdmaOp, rsp) -> None:
+        with self.charm.machine.tracer.under(rsp):
+            self.charm.converse.cmi_recv_device(pe_index, op)
+
+    @staticmethod
+    def _channel_recv_done(op: DeviceRdmaOp) -> None:
+        future, rsp = op.context
+        rsp.end()
+        future.send(None)
 
 
 class _PyCollection:

@@ -73,6 +73,10 @@ class Pe:
             self.messages_processed += 1
             start = self.sim.now
             continuation = self.converse.dispatch(self, msg)
+            # drop the handled message before waiting for the next one: a
+            # suspended scheduler must not pin its payload (and the device
+            # buffers its metadata names) for the rest of the run
+            msg = None
             debt = self.take_debt()
             if debt > 0.0:
                 yield Timeout(self.sim, debt)

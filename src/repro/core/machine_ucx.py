@@ -67,6 +67,10 @@ class UcxMachineLayer:
         rt = self.cfg.runtime
         self._send_device_charge = rt.lrts_send_device_overhead + rt.heap_alloc_cost
         self._recv_device_charge = rt.lrts_recv_device_overhead + rt.heap_alloc_cost
+        # UCX completion callbacks, bound once and shared by every request
+        # (each request's context rides on its ``user_data``)
+        self._send_device_cb = self._send_device_done
+        self._recv_device_cb = self._recv_device_done
         # statistics for the overhead-anatomy experiment (§IV-B1)
         self.device_sends = 0
         self.device_recvs = 0
@@ -173,24 +177,28 @@ class UcxMachineLayer:
             "machine", "lrts_send_device",
             src_pe=src_pe, dst_pe=dst_pe, size=dev_buf.size, tag=tag,
         )
-
-        def _complete(_req: UcxRequest) -> None:
-            sp.end()
-            if _req.status is not UcsStatus.OK:
-                if on_error is not None:
-                    on_error(_req.status)
-                else:
-                    self._route_error("send", tag, _req.status)
-                return
-            if on_complete is not None:
-                on_complete()
-
-        def _launch() -> None:
-            with tracer.under(sp):
-                worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, tag, cb=_complete)
-
-        self.sim.schedule(delay, _launch)
+        self.sim.schedule(delay, self._launch_send_device, worker, ep, dev_buf,
+                          sp, on_complete, on_error)
         return tag
+
+    def _launch_send_device(self, worker, ep, dev_buf: CmiDeviceBuffer, sp,
+                            on_complete, on_error) -> None:
+        with self.machine.tracer.under(sp):
+            req = worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, dev_buf.tag,
+                                     cb=self._send_device_cb)
+        req.user_data = (sp, dev_buf.tag, on_complete, on_error)
+
+    def _send_device_done(self, req: UcxRequest) -> None:
+        sp, tag, on_complete, on_error = req.user_data
+        sp.end()
+        if req.status is not UcsStatus.OK:
+            if on_error is not None:
+                on_error(req.status)
+            else:
+                self._route_error("send", tag, req.status)
+            return
+        if on_complete is not None:
+            on_complete()
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
         """``LrtsRecvDevice``: post the tagged receive for incoming GPU data;
@@ -211,23 +219,25 @@ class UcxMachineLayer:
             pe=pe, size=op.size, tag=op.tag, recv_type=op.recv_type.name,
         )
 
-        def _complete(req: UcxRequest) -> None:
-            # close the span on every outcome: an error must not leak it
-            sp.end()
-            if req.status is not UcsStatus.OK:
-                if op.on_error is not None:
-                    op.on_error(op, req.status)
-                else:
-                    self._route_error("recv", op.tag, req.status)
-                return
-            if op.on_complete is not None:
-                op.on_complete(op)
-            handler(op)
-
         delay = departure_delay + rt.lrts_recv_device_overhead + rt.heap_alloc_cost
+        self.sim.schedule(delay, self._post_recv_device, worker, op, sp, handler)
 
-        def _post() -> None:
-            with tracer.under(sp):
-                worker.tag_recv_nb(op.dest, op.size, op.tag, cb=_complete)
+    def _post_recv_device(self, worker, op: DeviceRdmaOp, sp, handler) -> None:
+        with self.machine.tracer.under(sp):
+            req = worker.tag_recv_nb(op.dest, op.size, op.tag,
+                                     cb=self._recv_device_cb)
+        req.user_data = (sp, op, handler)
 
-        self.sim.schedule(delay, _post)
+    def _recv_device_done(self, req: UcxRequest) -> None:
+        sp, op, handler = req.user_data
+        # close the span on every outcome: an error must not leak it
+        sp.end()
+        if req.status is not UcsStatus.OK:
+            if op.on_error is not None:
+                op.on_error(op, req.status)
+            else:
+                self._route_error("recv", op.tag, req.status)
+            return
+        if op.on_complete is not None:
+            op.on_complete(op)
+        handler(op)

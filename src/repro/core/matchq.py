@@ -300,12 +300,18 @@ class IndexedMatchQueue:
         if slot is None:
             return None, self._live
         scanned = self._fen.rank(slot)
-        if self._keys[slot] is None:
+        key = self._keys[slot]
+        if key is None:
             try:
                 self._wild.remove(slot)
             except ValueError:  # pragma: no cover - already lazily dropped
                 pass
-        return self._kill(slot), scanned
+            return self._kill(slot), scanned
+        item = self._kill(slot)
+        # drop the dead head now: with per-message tags the key is never
+        # looked up again, and its bucket would outlive the message
+        self._bucket_head(key)
+        return item, scanned
 
     def peek(self, key: Any, pred: Callable[[Any], bool]) -> Optional[Any]:
         slot = self._find(key, pred)

@@ -63,6 +63,9 @@ class CudaRuntime:
         benchmarks allocate staging buffers once and reuse them)."""
         return self.machine.alloc_host(node, size, materialize)
 
+    def free_host(self, buf: Buffer) -> None:
+        self.machine.free_host(buf)
+
     # -- copies -------------------------------------------------------------------
     def memcpy_async(
         self,

@@ -157,7 +157,6 @@ def path_transfer(
     granularity we model).  Control-sized messages (<= ``CTRL_BYPASS_BYTES``)
     do not occupy the links at all: they ride inline ahead of bulk data.
     """
-    done = SimEvent(sim, name="path_transfer")
     injector = getattr(sim, "fault_injector", None)
     if type(links) is Route:
         # memoized fast lane: order and cost terms were computed when the
@@ -187,48 +186,65 @@ def path_transfer(
             hold = path_latency(ordered) + (size / path_bottleneck(ordered) if ordered else 0.0)
     hold += extra_time
 
-    if size <= CTRL_BYPASS_BYTES:
+    if size <= CTRL_BYPASS_BYTES or not ordered:
         for link in ordered:
             link.bytes_carried += size
+        done = SimEvent(sim, "path_transfer")
         sim.schedule(hold, done.succeed, None)
         return done
+    done = _LinkTransfer(sim, ordered, size, hold)
+    done.try_acquire()
+    return done
 
-    # telemetry observes acquisition waits and occupancy; it never schedules
-    # and never alters `hold`, so enabling it cannot perturb the simulation
-    telem = sim.telemetry
-    if telem is not None:
-        t_req = sim.now
-        req_cat = telem.ambient_category()
-    blocked_on = None
 
-    def _finish() -> None:
+class _LinkTransfer(SimEvent):
+    """Completion event of one bulk :func:`path_transfer` that also carries
+    its acquire/finish state: no closure or extra object per transfer."""
+
+    __slots__ = ("ordered", "size", "hold", "telem", "t_req", "req_cat",
+                 "blocked_on")
+
+    def __init__(self, sim: Simulator, ordered: Sequence[Link], size: int,
+                 hold: float) -> None:
+        super().__init__(sim, "path_transfer")
+        self.ordered = ordered
+        self.size = size
+        self.hold = hold
+        # telemetry observes acquisition waits and occupancy; it never
+        # schedules and never alters `hold`, so enabling it cannot perturb
+        # the simulation
+        telem = sim.telemetry
+        self.telem = telem
         if telem is not None:
+            self.t_req = sim.now
+            self.req_cat = telem.ambient_category()
+        self.blocked_on = None
+
+    def try_acquire(self) -> None:
+        ordered = self.ordered
+        for link in ordered:
+            if link.in_use >= link.capacity:
+                if self.telem is not None:
+                    self.blocked_on = link.name
+                link.on_next_release(self.try_acquire)
+                return
+        for link in ordered:
+            link.acquire_now()  # free slot was just checked
+        sim = self.sim
+        telem = self.telem
+        if telem is not None:
+            telem.link_acquired(ordered, self.size, sim.now - self.t_req,
+                                self.blocked_on, self.req_cat)
+        sim.schedule(self.hold, self.finish)
+
+    def finish(self) -> None:
+        ordered = self.ordered
+        size = self.size
+        if self.telem is not None:
             # before release(): release hooks run synchronously and the next
             # waiter may re-acquire inside the loop below
-            telem.link_released(ordered, size)
+            self.telem.link_released(ordered, size)
         for link in ordered:
             link.bytes_carried += size
             link.release()
-        done.succeed(None)
-
-    def _try_acquire() -> None:
-        nonlocal blocked_on
-        for link in ordered:
-            if link.in_use >= link.capacity:
-                if telem is not None:
-                    blocked_on = link.name
-                link.on_next_release(_try_acquire)
-                return
-        for link in ordered:
-            granted = link.acquire()
-            assert granted.triggered  # free slot was just checked
-        if telem is not None:
-            telem.link_acquired(ordered, size, sim.now - t_req,
-                                blocked_on, req_cat)
-        sim.schedule(hold, _finish)
-
-    if not ordered:
-        sim.schedule(hold, done.succeed, None)
-    else:
-        _try_acquire()
-    return done
+        self.succeed(None)

@@ -97,6 +97,13 @@ class Buffer:
         )
 
     # -- functional payload movement -----------------------------------------
+    def release(self) -> None:
+        """Mark the buffer freed and drop its payload.  Freed memory has no
+        contents (``copy_from`` and ``view`` reject it), so its bytes go
+        back now rather than whenever the collector reaches the buffer."""
+        self.freed = True
+        self.data = None
+
     def copy_from(self, src: "Buffer", nbytes: Optional[int] = None) -> None:
         """Copy payload bytes from ``src`` (functional effect only; timing is
         charged by whoever calls this).  Virtual endpoints degrade gracefully:
@@ -183,7 +190,7 @@ class DeviceAllocator:
             raise ValueError("buffer belongs to a different GPU")
         if buf.freed:
             raise RuntimeError("double free")
-        buf.freed = True
+        buf.release()
         self.used -= buf.size
         self.live_buffers -= 1
         self.run_free_hooks(buf)
@@ -380,7 +387,7 @@ class PooledAllocator:
             for blk in slab.blocks:
                 self._free[blk.class_size].remove(blk)
                 del self._by_address[blk.buffer.address]
-                blk.buffer.freed = True
+                blk.buffer.release()
                 self.backing.run_free_hooks(blk.buffer)
             self._slabs.remove(slab)
             self.slab_bytes_total -= slab.buffer.size

@@ -264,7 +264,7 @@ class Machine:
             raise ValueError("free_host on a device buffer (use free_device)")
         if buf.freed:
             raise RuntimeError("double free")
-        buf.freed = True
+        buf.release()
         for hook in self._host_free_hooks:
             hook(buf)
 

@@ -32,6 +32,7 @@ from repro.obs.timeline import DEFAULT_CAPACITY as TELEMETRY_CAPACITY
 from repro.obs.timeline import Telemetry
 
 __all__ = [
+    "EndSpan",
     "NULL_SPAN",
     "Span",
     "TraceRecord",
@@ -159,6 +160,29 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.category}/{self.name} sid={self.sid} "
                 f"parent={self.parent_sid} [{self.start}, {self.end_time}])")
+
+
+class EndSpan:
+    """Continuation that ends ``span`` and then calls ``fn(*args)``.
+
+    Accepts and ignores whatever it is called with, so it serves both as an
+    event callback and as a scheduled callback.  The trace-on branches of
+    the message path build one instead of defining a closure: a function
+    that defines a nested function allocates its cells on *every* call,
+    traced or not.
+    """
+
+    __slots__ = ("span", "fn", "args")
+
+    def __init__(self, span, fn=None, *args) -> None:
+        self.span = span
+        self.fn = fn
+        self.args = args
+
+    def __call__(self, *_ignored) -> None:
+        self.span.end()
+        if self.fn is not None:
+            self.fn(*self.args)
 
 
 class _Under:

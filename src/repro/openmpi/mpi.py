@@ -71,6 +71,9 @@ class OmpiRank:
         self.pe = rank  # API compatibility with AmpiRank
         self._cpu_free = 0.0
         self._coll_seq = 0
+        # UCX completion callbacks, bound once and shared by every request
+        self._send_complete_cb = self._send_complete
+        self._recv_complete_cb = self._recv_complete
 
     def _next_coll_seq(self) -> int:
         s = self._coll_seq
@@ -123,24 +126,31 @@ class OmpiRank:
         sp = tracer.span(
             "openmpi", "mpi_send", rank=self.rank, dst=dst, tag=tag, size=nbytes
         )
-
-        def _complete(_req) -> None:
-            sp.end()
-            if _req.status is not UcsStatus.OK:
-                ev.fail(MpiCommError(
-                    f"MPI_Send r{self.rank}->r{dst} failed: {_req.status.name}",
-                    _req.status,
-                ))
-                return
-            ev.succeed(None)
-
-        def _post() -> None:
-            ep = self.worker.ep(dst)
-            with tracer.under(sp):
-                self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=_complete)
-
-        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_send_overhead), _post)
+        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_send_overhead),
+                          self._post_send, buf, nbytes, dst, ucp_tag, ev, sp)
         return ev
+
+    # The UCX completion callbacks below are bound once per rank; each
+    # operation's context rides on its request's ``user_data``.
+
+    def _post_send(self, buf: Buffer, nbytes: int, dst: int, ucp_tag: int,
+                   ev: SimEvent, sp) -> None:
+        ep = self.worker.ep(dst)
+        with self.lib.machine.tracer.under(sp):
+            req = self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag,
+                                          cb=self._send_complete_cb)
+        req.user_data = (ev, sp, dst)
+
+    def _send_complete(self, req) -> None:
+        ev, sp, dst = req.user_data
+        sp.end()
+        if req.status is not UcsStatus.OK:
+            ev.fail(MpiCommError(
+                f"MPI_Send r{self.rank}->r{dst} failed: {req.status.name}",
+                req.status,
+            ))
+            return
+        ev.succeed(None)
 
     def recv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -155,29 +165,33 @@ class OmpiRank:
         tracer.count("openmpi", "recv")
         tracer.charge("openmpi", self.lib.rt.ompi_recv_overhead)
         sp = tracer.span("openmpi", "mpi_recv", rank=self.rank, src=src, tag=tag)
-
-        def _complete(req) -> None:
-            sp.end()
-            if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:
-                ev.fail(MpiTruncationError("posted receive too small"))
-                return
-            if req.status is not UcsStatus.OK:
-                # info is None on cancellation/timeout — fail, don't unpack
-                ev.fail(MpiCommError(
-                    f"MPI_Recv on r{self.rank} failed: {req.status.name}",
-                    req.status,
-                ))
-                return
-            got_tag, got_len = req.info
-            s, t = decode_mpi_tag(got_tag)
-            ev.succeed(MpiStatus(source=s, tag=t, count=got_len))
-
-        def _post() -> None:
-            with tracer.under(sp):
-                self.worker.tag_recv_nb(buf, capacity, want, mask, cb=_complete)
-
-        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
+        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_recv_overhead),
+                          self._post_recv, buf, capacity, want, mask, ev, sp)
         return ev
+
+    def _post_recv(self, buf: Buffer, capacity: int, want: int, mask: int,
+                   ev: SimEvent, sp) -> None:
+        with self.lib.machine.tracer.under(sp):
+            req = self.worker.tag_recv_nb(buf, capacity, want, mask,
+                                          cb=self._recv_complete_cb)
+        req.user_data = (ev, sp)
+
+    def _recv_complete(self, req) -> None:
+        ev, sp = req.user_data
+        sp.end()
+        if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:
+            ev.fail(MpiTruncationError("posted receive too small"))
+            return
+        if req.status is not UcsStatus.OK:
+            # info is None on cancellation/timeout — fail, don't unpack
+            ev.fail(MpiCommError(
+                f"MPI_Recv on r{self.rank} failed: {req.status.name}",
+                req.status,
+            ))
+            return
+        got_tag, got_len = req.info
+        s, t = decode_mpi_tag(got_tag)
+        ev.succeed(MpiStatus(source=s, tag=t, count=got_len))
 
     def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
         return MpiRequest(self.send(buf, nbytes, dst, tag), "send")

@@ -12,7 +12,7 @@ bandwidth tests and halo-exchange completion).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 from repro.sim.engine import Simulator
 
@@ -26,6 +26,10 @@ class SimEvent:
 
     Callbacks added before triggering run when the event triggers; callbacks
     added after it has triggered run immediately (same simulated instant).
+
+    Most events are waited on by one callback or by none, so ``_callbacks``
+    holds ``None`` (no waiter), the bare callable (one waiter) or a list
+    (several): an event nobody waits on allocates nothing beyond itself.
     """
 
     __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_exc", "name")
@@ -33,7 +37,8 @@ class SimEvent:
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._callbacks: List[Callable[[SimEvent], None]] = []
+        self._callbacks: Union[None, Callable[[SimEvent], None],
+                               List[Callable[[SimEvent], None]]] = None
         self._triggered = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
@@ -74,15 +79,27 @@ class SimEvent:
         return self
 
     def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self._callbacks
+        if callbacks is None:
+            return
+        self._callbacks = None
+        if type(callbacks) is list:
+            for cb in callbacks:
+                cb(self)
+        else:
+            callbacks(self)
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
         if self._triggered:
             cb(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = cb
+        elif type(callbacks) is list:
+            callbacks.append(cb)
         else:
-            self._callbacks.append(cb)
+            self._callbacks = [callbacks, cb]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
@@ -107,6 +124,8 @@ class AllOf(SimEvent):
     with the first constituent failure.
     """
 
+    __slots__ = ("_events", "_remaining")
+
     def __init__(self, sim: Simulator, events: Iterable[SimEvent]) -> None:
         super().__init__(sim, name="all_of")
         self._events = list(events)
@@ -114,8 +133,10 @@ class AllOf(SimEvent):
         if self._remaining == 0:
             self.succeed([])
             return
+        # one bound method shared by every child, not one per child
+        on_child = self._on_child
         for ev in self._events:
-            ev.add_callback(self._on_child)
+            ev.add_callback(on_child)
 
     def _on_child(self, ev: SimEvent) -> None:
         if self._triggered:

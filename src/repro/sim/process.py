@@ -84,7 +84,7 @@ class Process(SimEvent):
             self.succeed(None)
             return
         except BaseException as err:  # noqa: BLE001 - fail the join event
-            had_joiners = bool(self._callbacks)
+            had_joiners = self._callbacks is not None
             self.fail(err)
             if not had_joiners:
                 raise  # nobody observing: surface loudly instead of silently

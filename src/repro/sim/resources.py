@@ -64,6 +64,14 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
+    def acquire_now(self) -> None:
+        """Take a free slot synchronously, without an event.  For callers
+        that have just checked ``in_use < capacity`` (a free slot implies no
+        waiters, so FIFO order is kept); same accounting as :meth:`acquire`."""
+        if self._in_use >= self.capacity:
+            raise RuntimeError(f"no free slot on {self.name!r}")
+        self._take()
+
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
@@ -83,11 +91,14 @@ class Resource:
         multi-resource acquisition to retry)."""
         self._release_hooks.append(hook)
 
-    def _grant(self, ev: SimEvent) -> None:
+    def _take(self) -> None:
         self._in_use += 1
         self.total_acquisitions += 1
         if self._busy_since is None:
             self._busy_since = self.sim.now
+
+    def _grant(self, ev: SimEvent) -> None:
+        self._take()
         ev.succeed(self)
 
     # -- composite helper ----------------------------------------------------

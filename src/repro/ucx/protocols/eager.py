@@ -66,26 +66,29 @@ def start_send(
         wire_seq=wire_seq,
     )
 
-    def _copied() -> None:
-        sp.end()
-        if req.completed:
-            # cancelled while staging: the payload never ships, but the
-            # assigned wire_seq slot must still be consumed at the receiver
-            # or the pair's ordered stream stalls behind it forever
-            slot = WireMessage(
-                kind=WireKind.ERR, tag=tag, size=0,
-                src_worker=worker.worker_id, sent_at=worker.sim.now,
-                wire_seq=msg.wire_seq, failed_kind=None,
-            )
-            worker.transmit(remote, slot, CTRL_MSG_BYTES)
-            return
-        flight = ctx.machine.tracer.flight
-        if flight.enabled:
-            flight.send_completed(tag)
-        req.complete(UcsStatus.OK)
-        worker.transmit(remote, msg)
+    worker.sim.schedule(delay, _copied, worker, remote, msg, req, sp)
 
-    worker.sim.schedule(delay, _copied)
+
+def _copied(worker: "UcpWorker", remote: "UcpWorker", msg: WireMessage,
+            req: UcxRequest, sp) -> None:
+    """Copy-in done: complete the send and ship the payload."""
+    sp.end()
+    if req.completed:
+        # cancelled while staging: the payload never ships, but the
+        # assigned wire_seq slot must still be consumed at the receiver
+        # or the pair's ordered stream stalls behind it forever
+        slot = WireMessage(
+            kind=WireKind.ERR, tag=msg.tag, size=0,
+            src_worker=worker.worker_id, sent_at=worker.sim.now,
+            wire_seq=msg.wire_seq, failed_kind=None,
+        )
+        worker.transmit(remote, slot, CTRL_MSG_BYTES)
+        return
+    flight = worker.ctx.machine.tracer.flight
+    if flight.enabled:
+        flight.send_completed(msg.tag)
+    req.complete(UcsStatus.OK)
+    worker.transmit(remote, msg)
 
 
 def finish_recv(
@@ -97,17 +100,7 @@ def finish_recv(
     """Complete a matched eager receive: copy out of the bounce, finish."""
     ctx = worker.ctx
     if msg.size > posted.size:
-        trunc_flight = ctx.machine.tracer.flight
-
-        def _truncate() -> None:
-            # close the flight record (same leak as the rendezvous
-            # truncation path: an open record would absorb the next
-            # same-tag transfer's stages)
-            if trunc_flight.enabled:
-                trunc_flight.failed(msg.tag, "truncated")
-            posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
-
-        worker.sim.schedule(pre_delay, _truncate)
+        worker.sim.schedule(pre_delay, _truncate, ctx, msg, posted)
         return
     copy_out = staging_copy_time(ctx, posted.buf, msg.size)
     tracer = ctx.machine.tracer
@@ -116,13 +109,22 @@ def finish_recv(
         size=msg.size, tag=msg.tag, device=posted.buf.on_device,
         parent=posted.req.span,
     )
+    worker.sim.schedule(pre_delay + copy_out, _copied_out, ctx, msg, posted, sp)
 
-    def _done() -> None:
-        posted.buf.copy_from(msg.bounce, msg.size)
-        sp.end()
-        flight = ctx.machine.tracer.flight
-        if flight.enabled:
-            flight.completed(msg.tag)
-        posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
 
-    worker.sim.schedule(pre_delay + copy_out, _done)
+def _truncate(ctx, msg: WireMessage, posted: "PostedRecv") -> None:
+    # close the flight record (same leak as the rendezvous truncation path:
+    # an open record would absorb the next same-tag transfer's stages)
+    flight = ctx.machine.tracer.flight
+    if flight.enabled:
+        flight.failed(msg.tag, "truncated")
+    posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
+
+
+def _copied_out(ctx, msg: WireMessage, posted: "PostedRecv", sp) -> None:
+    posted.buf.copy_from(msg.bounce, msg.size)
+    sp.end()
+    flight = ctx.machine.tracer.flight
+    if flight.enabled:
+        flight.completed(msg.tag)
+    posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import NULL_SPAN, EndSpan
 from repro.ucx.constants import CTRL_MSG_BYTES
 from repro.ucx.protocols.cuda_ipc import ipc_setup_cost
 from repro.ucx.protocols.multirail import plan_striping, striped_transfer
@@ -76,12 +76,8 @@ def start_send(
     if tracer.enabled:
         sp = tracer.span("ucx.rndv", "rndv_rts", size=size, tag=tag,
                          device=buf.on_device)
-
-        def _rts() -> None:
-            sp.end()
-            worker.transmit(remote, msg, CTRL_MSG_BYTES)
-
-        worker.sim.schedule(delay, _rts)
+        worker.sim.schedule(
+            delay, EndSpan(sp, worker.transmit, remote, msg, CTRL_MSG_BYTES))
     else:
         worker.sim.schedule(delay, worker.transmit, remote, msg, CTRL_MSG_BYTES)
 
@@ -102,23 +98,7 @@ def start_transfer(
     ctx.worker(msg.src_worker)._rndv_started.add(msg.rndv_id)
 
     if msg.size > posted.size:
-        trunc_flight = machine.tracer.flight
-
-        def _truncate() -> None:
-            # close the flight record: a truncated transfer never reaches
-            # completed(), and leaving it open would absorb the stages of
-            # the next same-tag transfer
-            if trunc_flight.enabled:
-                trunc_flight.failed(msg.tag, "truncated")
-            posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
-            # release the sender too: the rendezvous is over
-            fin = WireMessage(
-                kind=WireKind.FIN, tag=msg.tag, size=0,
-                src_worker=worker.worker_id, rndv_id=msg.rndv_id, sent_at=sim.now,
-            )
-            worker.transmit(ctx.worker(msg.src_worker), fin, CTRL_MSG_BYTES)
-
-        sim.schedule(pre_delay, _truncate)
+        sim.schedule(pre_delay, _truncate, worker, msg, posted)
         return
 
     src, dst = msg.src_buf, posted.buf
@@ -238,37 +218,78 @@ def start_transfer(
     else:
         sp = NULL_SPAN
 
-    wire_sp = [NULL_SPAN]
+    fetch = _Fetch(worker, msg, posted, route, stripe_rails, sp)
+    sim.schedule(pre_delay + setup, fetch.begin)
 
-    def _begin() -> None:
+
+def _send_fin(worker: "UcpWorker", msg: WireMessage) -> None:
+    """Release the rendezvous sender: FIN back for the RTS ``msg``."""
+    fin = WireMessage(
+        kind=WireKind.FIN,
+        tag=msg.tag,
+        size=0,
+        src_worker=worker.worker_id,
+        rndv_id=msg.rndv_id,
+        sent_at=worker.sim.now,
+    )
+    worker.transmit(worker.ctx.worker(msg.src_worker), fin, CTRL_MSG_BYTES)
+
+
+def _truncate(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv") -> None:
+    # close the flight record: a truncated transfer never reaches
+    # completed(), and leaving it open would absorb the stages of the next
+    # same-tag transfer
+    flight = worker.ctx.machine.tracer.flight
+    if flight.enabled:
+        flight.failed(msg.tag, "truncated")
+    posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
+    # release the sender too: the rendezvous is over
+    _send_fin(worker, msg)
+
+
+class _Fetch:
+    """Receiver-side state of one committed rendezvous: the data route (or
+    striping rails) chosen at match time and the tracing spans.  Its bound
+    methods are the fetch's continuations."""
+
+    __slots__ = ("worker", "msg", "posted", "route", "rails", "span", "wire_span")
+
+    def __init__(self, worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv",
+                 route, rails, span) -> None:
+        self.worker = worker
+        self.msg = msg
+        self.posted = posted
+        self.route = route
+        self.rails = rails
+        self.span = span
+        self.wire_span = NULL_SPAN
+
+    def begin(self) -> None:
+        worker = self.worker
+        msg = self.msg
+        machine = worker.ctx.machine
+        tracer = machine.tracer
         if tracer.enabled:
-            wire_sp[0] = tracer.span("link", "rndv_data", parent=sp,
-                                     tag=msg.tag, bytes=msg.size)
-        if stripe_rails is not None:
-            done = striped_transfer(sim, machine, stripe_rails, msg.size,
-                                    parent_span=wire_sp[0], tag=msg.tag)
+            self.wire_span = tracer.span("link", "rndv_data", parent=self.span,
+                                         tag=msg.tag, bytes=msg.size)
+        if self.rails is not None:
+            done = striped_transfer(worker.sim, machine, self.rails, msg.size,
+                                    parent_span=self.wire_span, tag=msg.tag)
         else:
-            done = path_transfer(sim, route, msg.size)
-        done.add_callback(_data_arrived)
+            done = path_transfer(worker.sim, self.route, msg.size)
+        done.add_callback(self.data_arrived)
 
-    def _data_arrived(_ev) -> None:
-        dst.copy_from(src, msg.size)
-        wire_sp[0].end()
-        sp.end()
+    def data_arrived(self, _ev) -> None:
+        msg = self.msg
+        posted = self.posted
+        posted.buf.copy_from(msg.src_buf, msg.size)
+        self.wire_span.end()
+        self.span.end()
+        flight = self.worker.ctx.machine.tracer.flight
         if flight.enabled:
             flight.completed(msg.tag)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
-        fin = WireMessage(
-            kind=WireKind.FIN,
-            tag=msg.tag,
-            size=0,
-            src_worker=worker.worker_id,
-            rndv_id=msg.rndv_id,
-            sent_at=sim.now,
-        )
-        worker.transmit(ctx.worker(msg.src_worker), fin, CTRL_MSG_BYTES)
-
-    sim.schedule(pre_delay + setup, _begin)
+        _send_fin(self.worker, msg)
 
 
 def finish_send(worker: "UcpWorker", msg: WireMessage) -> None:
@@ -281,7 +302,7 @@ def finish_send(worker: "UcpWorker", msg: WireMessage) -> None:
             worker.ctx.machine.tracer.count("ucx", "late_fin_ignored")
             return
         raise RuntimeError(f"FIN for unknown rendezvous id {msg.rndv_id}")
-    worker._rndv_done.add(msg.rndv_id)
+    worker._rndv_ended(msg.rndv_id)
     flight = worker.ctx.machine.tracer.flight
     if flight.enabled:
         flight.send_completed(msg.tag)

@@ -22,11 +22,22 @@ class UcxRequest:
     UCP completion callback) is invoked from "progress context" — i.e. at the
     simulated instant of completion.  ``info`` carries the matched tag and
     received length for receives, mirroring ``ucp_tag_recv_info_t``.
+
+    ``user_data`` is an opaque context the poster attaches for its ``cb``
+    (UCP's request user data), so a shared callback needs no per-request
+    closure.  A completion never runs inside the posting call, so it is
+    safe to attach right after posting.
+
+    The event is created on first read: most requests complete through
+    ``cb`` and are never waited on.  Read after completion, it is created
+    already succeeded with the request, so a process yielding on it resumes
+    at the same instant, exactly as if it had existed all along.
     """
 
     __slots__ = (
-        "sim", "kind", "tag", "size", "cb", "event",
+        "sim", "kind", "tag", "size", "cb", "_event",
         "status", "info", "posted_at", "completed_at", "span", "op",
+        "user_data",
     )
 
     def __init__(
@@ -42,7 +53,7 @@ class UcxRequest:
         self.tag = tag
         self.size = size
         self.cb = cb
-        self.event = SimEvent(sim, name=f"ucx.{kind.value}")
+        self._event: Optional[SimEvent] = None
         self.status = UcsStatus.INPROGRESS
         self.info: Any = None
         self.posted_at = sim.now
@@ -51,6 +62,17 @@ class UcxRequest:
         self.span: Any = None
         # which API created the request: "tag" (cancellable) or "am"
         self.op = "tag"
+        self.user_data: Any = None
+
+    @property
+    def event(self) -> SimEvent:
+        ev = self._event
+        if ev is None:
+            ev = SimEvent(self.sim, name=f"ucx.{self.kind.value}")
+            if self.completed:
+                ev.succeed(self)
+            self._event = ev
+        return ev
 
     @property
     def completed(self) -> bool:
@@ -62,9 +84,12 @@ class UcxRequest:
         self.status = status
         self.info = info
         self.completed_at = self.sim.now
+        # an event first read inside ``cb`` is created already succeeded
+        ev = self._event
         if self.cb is not None:
             self.cb(self)
-        self.event.succeed(self)
+        if ev is not None:
+            ev.succeed(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

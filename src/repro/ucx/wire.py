@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from repro.hardware.memory import Buffer
 
@@ -54,3 +54,13 @@ class WireMessage:
     #: slot or the ordered stream stalls forever); an ERR for a FIN carries
     #: the rndv_id so the original sender's pending request can fail.
     failed_kind: Optional[WireKind] = None
+    #: destination worker, set when the frame is put on the wire
+    dst: Any = field(default=None, repr=False, compare=False)
+
+    def arrive(self, _ev=None) -> None:
+        """Deliver at the destination worker (a wire-completion callback)."""
+        self.dst._on_wire(self)
+
+    def accepted_by(self, posted) -> bool:
+        """Match predicate over posted receives."""
+        return posted.matches(self.tag)

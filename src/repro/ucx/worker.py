@@ -46,7 +46,7 @@ from repro.faults.injector import CORRUPT, STALL
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
 from repro.obs.metrics import LATENCY_BUCKETS
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import NULL_SPAN, EndSpan
 from repro.ucx.constants import (
     CTRL_MSG_BYTES,
     LOOPBACK_LATENCY,
@@ -74,6 +74,56 @@ class PostedRecv:
 
     def matches(self, incoming_tag: int) -> bool:
         return (incoming_tag & self.mask) == (self.tag & self.mask)
+
+    def accepts(self, msg: WireMessage) -> bool:
+        """Match predicate over queued (unexpected) wire messages."""
+        return self.matches(msg.tag)
+
+
+class _TracedDone:
+    """Trace-on completion hook of a tagged request: ends the request's
+    span, observes its latency, then chains the user callback."""
+
+    __slots__ = ("tracer", "metric", "cb")
+
+    def __init__(self, tracer, metric: str, cb) -> None:
+        self.tracer = tracer
+        self.metric = metric
+        self.cb = cb
+
+    def __call__(self, req: UcxRequest) -> None:
+        req.span.end()
+        self.tracer.observe(self.metric, req.completed_at - req.posted_at,
+                            LATENCY_BUCKETS)
+        if self.cb is not None:
+            self.cb(req)
+
+
+class _AmFrame:
+    """One active-message frame from ``src`` to ``remote``: the AM path's
+    per-message descriptor (the tagged path's is :class:`WireMessage`).
+
+    ``rndv`` is ``(size, payload, send_req)`` for a rendezvous RTS, else
+    ``None``; ``seq`` is the per-pair AM sequence number (``None`` =
+    unsequenced).  A retransmitted frame is the same object."""
+
+    __slots__ = ("src", "remote", "nbytes", "payload", "extra_rx", "rndv", "seq")
+
+    def __init__(self, src: "UcpWorker", remote: "UcpWorker", nbytes: int,
+                 payload, extra_rx: float, rndv, seq) -> None:
+        self.src = src
+        self.remote = remote
+        self.nbytes = nbytes
+        self.payload = payload
+        self.extra_rx = extra_rx
+        self.rndv = rndv
+        self.seq = seq
+
+    def arrive(self, _ev=None) -> None:
+        self.src._am_arrive(self)
+
+    def fetched(self, _ev=None) -> None:
+        self.src._am_fetched(self)
 
 
 class UcpWorker:
@@ -110,7 +160,8 @@ class UcpWorker:
         # ids that finished (FIN seen / gave up) so late or duplicate FINs
         # are ignored; ids the local sender cancelled; ids whose receiver
         # already committed to the data fetch (cancellation fails); and
-        # which remote each locally-initiated id was addressed to
+        # which remote each locally-initiated id was addressed to.  The
+        # last two only concern live rendezvous: _rndv_ended drops them.
         self._rndv_done: Set[int] = set()
         self._rndv_cancelled: Set[int] = set()
         self._rndv_started: Set[int] = set()
@@ -220,19 +271,7 @@ class UcpWorker:
             sp = tracer.span("ucx", "tag_send", tag=tag, size=size, proto=proto.value)
             req.span = sp
             tracer.observe("ucx.send_size_bytes", size)
-            _user_cb = req.cb
-
-            def _send_done(r, _sp=sp, _cb=_user_cb):
-                _sp.end()
-                tracer.observe(
-                    "ucx.send_latency_seconds",
-                    r.completed_at - r.posted_at,
-                    LATENCY_BUCKETS,
-                )
-                if _cb is not None:
-                    _cb(r)
-
-            req.cb = _send_done
+            req.cb = _TracedDone(tracer, "ucx.send_latency_seconds", cb)
         else:
             sp = NULL_SPAN
         # lazy wireup: the endpoint's first message pays connection setup
@@ -275,29 +314,14 @@ class UcpWorker:
         tracer.count("ucx", "recv")
         tracer.charge("ucx", base)
         if tracer.enabled:
-            sp = tracer.span("ucx", "tag_recv", tag=tag, size=size)
-            req.span = sp
-            _user_cb = req.cb
-
-            def _recv_done(r, _sp=sp, _cb=_user_cb):
-                _sp.end()
-                tracer.observe(
-                    "ucx.recv_latency_seconds",
-                    r.completed_at - r.posted_at,
-                    LATENCY_BUCKETS,
-                )
-                if _cb is not None:
-                    _cb(r)
-
-            req.cb = _recv_done
+            req.span = tracer.span("ucx", "tag_recv", tag=tag, size=size)
+            req.cb = _TracedDone(tracer, "ucx.recv_latency_seconds", cb)
 
         # unexpected messages carry concrete tags (their queue key); a
         # full-mask receive is an exact lookup, a masked one falls back to
         # the FIFO scan.
         lookup = (tag & TAG_MASK_FULL) if mask == TAG_MASK_FULL else None
-        msg, scanned = self.unexpected.match(
-            lookup, lambda m: (m.tag & mask) == (tag & mask)
-        )
+        msg, scanned = self.unexpected.match(lookup, posted.accepts)
         if msg is not None:
             self.unexpected_hits += 1
             self.tag_scans += scanned
@@ -369,8 +393,8 @@ class UcpWorker:
             # is dropped there, see _process_in_order), so the ordered
             # stream keeps flowing past the cancelled message
             self._rndv_cancelled.add(rid)
-            self._rndv_done.add(rid)
             remote_id = self._rndv_remote.get(rid)
+            self._rndv_ended(rid)
             if remote_id is not None:
                 # retract the RTS if it sits unmatched at the peer
                 self.ctx.worker(remote_id).unexpected.remove_first(
@@ -381,7 +405,7 @@ class UcpWorker:
                 flight.cancelled(req.tag)
             req.complete(UcsStatus.ERR_CANCELED)
             return True
-        # an eager send still staging its payload; the copy-in closure sees
+        # an eager send still staging its payload; the copy-in continuation sees
         # the completed request and emits a slot-consuming ERR frame instead
         # of the payload
         tracer.count("ucx", "cancel_send")
@@ -389,6 +413,13 @@ class UcpWorker:
             flight.cancelled(req.tag)
         req.complete(UcsStatus.ERR_CANCELED)
         return True
+
+    def _rndv_ended(self, rndv_id: int) -> None:
+        """A locally-initiated rendezvous is over (FIN, endpoint timeout or
+        cancel): keep its id for late-FIN detection, drop its live state."""
+        self._rndv_done.add(rndv_id)
+        self._rndv_started.discard(rndv_id)
+        self._rndv_remote.pop(rndv_id, None)
 
     # -- active-message host path -----------------------------------------------
     #
@@ -431,7 +462,7 @@ class UcpWorker:
                 size=size, rndv=size >= cfg.host_rndv_threshold,
             )
             req.span = sp
-            req.cb = lambda r, _sp=sp: _sp.end()
+            req.cb = EndSpan(sp)
 
         # both AM protocols share one per-pair sequence stream: delivery
         # follows send order even across the eager/rendezvous boundary (a
@@ -445,71 +476,49 @@ class UcpWorker:
             # eager: copy-in, wire, copy-out
             copy = self._host_copy_time(size)
             delay = self._send_post_cost + copy + pre
-
-            def _send_eager() -> None:
-                req.complete()
-                self._am_wire(remote, size, payload, extra_rx=copy, seq=seq)
-
-            self.sim.schedule(delay, _send_eager)
+            frame = _AmFrame(self, remote, size, payload, copy, None, seq)
+            self.sim.schedule(delay, self._am_send_eager, frame, req)
         else:
             # rendezvous: RTS, then a single-copy fetch of the data
             delay = self._rts_post_cost + pre
-
-            def _send_rts() -> None:
-                self._am_wire(
-                    remote, CTRL_MSG_BYTES, None, rndv=(size, payload, req), seq=seq
-                )
-
-            self.sim.schedule(delay, _send_rts)
+            frame = _AmFrame(self, remote, CTRL_MSG_BYTES, None, 0.0,
+                             (size, payload, req), seq)
+            self.sim.schedule(delay, self._am_wire, frame)
         return req
 
-    def _am_wire(
-        self,
-        remote: "UcpWorker",
-        nbytes: int,
-        payload,
-        extra_rx: float = 0.0,
-        rndv=None,
-        seq=None,
-        attempt: int = 0,
-    ) -> None:
+    def _am_send_eager(self, frame: _AmFrame, req: UcxRequest) -> None:
+        req.complete()
+        self._am_wire(frame)
+
+    def _am_wire(self, frame: _AmFrame, attempt: int = 0) -> None:
         machine = self.ctx.machine
         tracer = machine.tracer
+        remote = frame.remote
         if remote.worker_id == self.worker_id:
             if tracer.enabled:
-                sp = tracer.span("link", "am_wire", bytes=nbytes)
-                self.sim.schedule(
-                    LOOPBACK_LATENCY,
-                    lambda: (sp.end(),
-                             self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq)),
-                )
+                sp = tracer.span("link", "am_wire", bytes=frame.nbytes)
+                self.sim.schedule(LOOPBACK_LATENCY, EndSpan(sp, frame.arrive))
             else:
-                self.sim.schedule(
-                    LOOPBACK_LATENCY, self._am_arrive, remote, nbytes, payload, extra_rx, rndv, seq
-                )
+                self.sim.schedule(LOOPBACK_LATENCY, frame.arrive)
             return
         injector = machine.fault_injector
         if injector is None:
-            self._am_put_on_wire(remote, nbytes, payload, extra_rx, rndv, seq)
+            self._am_put_on_wire(frame)
             return
         fault = injector.frame_fault(
             self.worker_id, remote.worker_id, "am", self.sim.now
         )
         if fault is None:
-            self._am_put_on_wire(remote, nbytes, payload, extra_rx, rndv, seq)
+            self._am_put_on_wire(frame)
             return
         verb, stall = fault
         if verb == STALL:
             # late, not lost: deliver with the stall added; if the stall
             # outlives the retry timer the sender also retransmits, and the
             # receiver dedups the duplicate by sequence number
-            self._am_put_on_wire(
-                remote, nbytes, payload, extra_rx, rndv, seq, extra_time=stall
-            )
+            self._am_put_on_wire(frame, extra_time=stall)
             if attempt < injector.max_retries and stall >= injector.retry_wait(attempt):
-                self._am_schedule_retransmit(
-                    remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-                )
+                self._am_schedule_retransmit(frame, injector, attempt)
             return
         if verb == CORRUPT:
             # the frame occupies the wire but fails its integrity check
@@ -517,48 +526,31 @@ class UcpWorker:
                 machine.host_location(self.node, self.socket),
                 machine.host_location(remote.node, remote.socket),
             )
-            path_transfer(self.sim, route, nbytes + WIRE_HEADER_BYTES)
+            path_transfer(self.sim, route, frame.nbytes + WIRE_HEADER_BYTES)
         if attempt >= injector.max_retries:
-            self._am_give_up(remote, nbytes, rndv, seq)
+            self._am_give_up(frame)
             return
-        self._am_schedule_retransmit(
-            remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-        )
+        self._am_schedule_retransmit(frame, injector, attempt)
 
-    def _am_put_on_wire(
-        self,
-        remote: "UcpWorker",
-        nbytes: int,
-        payload,
-        extra_rx: float,
-        rndv,
-        seq,
-        extra_time: float = 0.0,
-    ) -> None:
+    def _am_put_on_wire(self, frame: _AmFrame, extra_time: float = 0.0) -> None:
         machine = self.ctx.machine
         tracer = machine.tracer
+        remote = frame.remote
         route = machine.route(
             machine.host_location(self.node, self.socket),
             machine.host_location(remote.node, remote.socket),
         )
         if tracer.enabled:
-            sp = tracer.span("link", "am_wire", bytes=nbytes)
+            sp = tracer.span("link", "am_wire", bytes=frame.nbytes)
             path_transfer(
-                self.sim, route, nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
-            ).add_callback(
-                lambda _ev: (sp.end(),
-                             self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq))
-            )
+                self.sim, route, frame.nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
+            ).add_callback(EndSpan(sp, frame.arrive))
         else:
             path_transfer(
-                self.sim, route, nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
-            ).add_callback(
-                lambda _ev: self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq)
-            )
+                self.sim, route, frame.nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
+            ).add_callback(frame.arrive)
 
-    def _am_schedule_retransmit(
-        self, remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-    ) -> None:
+    def _am_schedule_retransmit(self, frame: _AmFrame, injector, attempt: int) -> None:
         tracer = self.ctx.machine.tracer
         tracer.count("fault", "retransmit")
         if tracer.timeline.enabled:
@@ -568,41 +560,42 @@ class UcpWorker:
             tracer.span(
                 "fault", "retransmit_wait", kind="am", attempt=attempt,
             ).close_at(self.sim.now + wait)
-        self.sim.schedule(
-            wait, self._am_wire, remote, nbytes, payload, extra_rx, rndv, seq,
-            attempt + 1,
-        )
+        self.sim.schedule(wait, self._am_wire, frame, attempt + 1)
 
-    def _am_give_up(self, remote: "UcpWorker", nbytes: int, rndv, seq) -> None:
+    def _am_give_up(self, frame: _AmFrame) -> None:
         """The retransmit budget for an AM frame is exhausted."""
         tracer = self.ctx.machine.tracer
         tracer.count("fault", "endpoint_timeout")
-        if rndv is not None:
-            size, _payload, send_req = rndv
+        if frame.rndv is not None:
+            size, _payload, send_req = frame.rndv
             if not send_req.completed:
                 send_req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
             lost = size
         else:
-            lost = nbytes
-        if seq is not None:
+            lost = frame.nbytes
+        if frame.seq is not None:
             # the receiver must consume the sequence slot or its ordered AM
             # stream stalls behind the lost message forever; a "lost" entry
             # surfaces the error at delivery order
             self.sim.schedule(
-                0.0, remote._am_enqueue, self.worker_id, seq, ("lost", lost)
+                0.0, frame.remote._am_enqueue, self.worker_id, frame.seq,
+                ("lost", lost),
             )
 
-    def _am_arrive(self, remote: "UcpWorker", nbytes: int, payload, extra_rx: float, rndv, seq=None) -> None:
+    def _am_arrive(self, frame: _AmFrame) -> None:
         cfg = self.ctx.cfg
         machine = self.ctx.machine
         src = self.worker_id
-        if rndv is None:
+        remote = frame.remote
+        seq = frame.seq
+        if frame.rndv is None:
             if seq is None:
-                remote._am_deliver(nbytes, payload, src, cfg.progress_overhead + extra_rx)
+                remote._am_deliver(frame.nbytes, frame.payload, src,
+                                   cfg.progress_overhead + frame.extra_rx)
                 return
-            remote._am_enqueue(src, seq, ("msg", nbytes, payload, extra_rx))
+            remote._am_enqueue(
+                src, seq, ("msg", frame.nbytes, frame.payload, frame.extra_rx))
             return
-        size, data_payload, send_req = rndv
         if seq is not None and not remote._am_reserve(src, seq):
             # duplicate RTS from a stall-retransmit race: one fetch only
             machine.tracer.count("fault", "duplicate_dropped")
@@ -610,36 +603,41 @@ class UcpWorker:
         # receiver fetches the data with a single copy (CMA within a node,
         # RDMA get across nodes; the latter pins the pages first -- a CPU/
         # driver cost that delays the get without occupying the wire)
+        reg = cfg.host_rndv_reg_overhead if remote.node != self.node else 0.0
+        self.sim.schedule(
+            cfg.progress_overhead + cfg.rndv_rts_cost + reg, self._am_start_fetch,
+            frame,
+        )
+
+    def _am_start_fetch(self, frame: _AmFrame) -> None:
+        machine = self.ctx.machine
+        remote = frame.remote
         route = machine.route(
             machine.host_location(self.node, self.socket),
             machine.host_location(remote.node, remote.socket),
         )
-        reg = cfg.host_rndv_reg_overhead if remote.node != self.node else 0.0
-
-        def _fetched(_ev) -> None:
-            if not send_req.completed:
-                send_req.complete()
-            if seq is None:
-                remote._am_deliver(size, data_payload, src, cfg.progress_overhead)
-            else:
-                remote._am_enqueue(
-                    src, seq, ("msg", size, data_payload, 0.0), reserved=True
-                )
-
+        size = frame.rndv[0]
         tracer = machine.tracer
+        if tracer.enabled:
+            sp = tracer.span("link", "am_fetch", bytes=size)
+            path_transfer(self.sim, route, size).add_callback(
+                EndSpan(sp, frame.fetched))
+        else:
+            path_transfer(self.sim, route, size).add_callback(frame.fetched)
 
-        def _start_fetch() -> None:
-            if tracer.enabled:
-                sp = tracer.span("link", "am_fetch", bytes=size)
-                path_transfer(self.sim, route, size).add_callback(
-                    lambda _ev: (sp.end(), _fetched(_ev))
-                )
-            else:
-                path_transfer(self.sim, route, size).add_callback(_fetched)
-
-        self.sim.schedule(
-            cfg.progress_overhead + cfg.rndv_rts_cost + reg, _start_fetch
-        )
+    def _am_fetched(self, frame: _AmFrame) -> None:
+        size, data_payload, send_req = frame.rndv
+        if not send_req.completed:
+            send_req.complete()
+        remote = frame.remote
+        if frame.seq is None:
+            remote._am_deliver(size, data_payload, self.worker_id,
+                               self.ctx.cfg.progress_overhead)
+        else:
+            remote._am_enqueue(
+                self.worker_id, frame.seq, ("msg", size, data_payload, 0.0),
+                reserved=True,
+            )
 
     # -- AM receive ordering ------------------------------------------------------
     #
@@ -730,12 +728,11 @@ class UcpWorker:
             if tracer.enabled:
                 sp = tracer.span("link", "wire", kind=msg.kind.name,
                                  tag=msg.tag, bytes=nbytes)
-                self.sim.schedule(
-                    LOOPBACK_LATENCY, lambda: (sp.end(), remote._on_wire(msg))
-                )
+                self.sim.schedule(LOOPBACK_LATENCY, EndSpan(sp, remote._on_wire, msg))
             else:
                 self.sim.schedule(LOOPBACK_LATENCY, remote._on_wire, msg)
             return
+        msg.dst = remote
         injector = self.ctx.machine.fault_injector
         if injector is not None and msg.kind is not WireKind.ERR:
             self._transmit_faulty(remote, msg, nbytes, injector, 0)
@@ -755,11 +752,11 @@ class UcpWorker:
             sp = tracer.span("link", "wire", kind=msg.kind.name,
                              tag=msg.tag, bytes=nbytes)
             path_transfer(self.sim, route, nbytes, extra_time=extra_time).add_callback(
-                lambda _ev: (sp.end(), remote._on_wire(msg))
+                EndSpan(sp, msg.arrive)
             )
         else:
             path_transfer(self.sim, route, nbytes, extra_time=extra_time).add_callback(
-                lambda _ev: remote._on_wire(msg)
+                msg.arrive
             )
 
     def _transmit_faulty(
@@ -831,7 +828,7 @@ class UcpWorker:
             flight.failed(msg.tag, "endpoint_timeout")
         if msg.kind is WireKind.RTS:
             req = self.pending_rndv_sends.pop(msg.rndv_id, None)
-            self._rndv_done.add(msg.rndv_id)
+            self._rndv_ended(msg.rndv_id)
             if req is not None and not req.completed:
                 req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
         err = WireMessage(
@@ -850,7 +847,7 @@ class UcpWorker:
             # a FIN addressed to us was lost: our rendezvous send will never
             # see its completion notification — fail it
             req = self.pending_rndv_sends.pop(msg.rndv_id, None)
-            self._rndv_done.add(msg.rndv_id)
+            self._rndv_ended(msg.rndv_id)
             if req is not None and not req.completed:
                 req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
             return
@@ -897,9 +894,7 @@ class UcpWorker:
         # posted receives with a full mask are bucketed under their tag;
         # masked receives live in the wildcard fallback and are checked via
         # the predicate — FIFO order across both is preserved by slot order.
-        posted, scanned = self.posted.match(
-            msg.tag & TAG_MASK_FULL, lambda p: p.matches(msg.tag)
-        )
+        posted, scanned = self.posted.match(msg.tag & TAG_MASK_FULL, msg.accepted_by)
         if posted is not None:
             self.expected_hits += 1
             self.tag_scans += scanned

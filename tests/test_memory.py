@@ -60,6 +60,18 @@ class TestBuffer:
         with pytest.raises(RuntimeError):
             other.copy_from(buf)
 
+    def test_free_releases_the_payload(self):
+        from repro.config import MachineConfig
+        from repro.hardware.topology import Machine
+
+        m = Machine(MachineConfig.summit(nodes=1))
+        dev, host = m.alloc_device(0, 64), m.alloc_host(0, 64)
+        assert dev.data is not None and host.data is not None
+        m.free_device(dev)
+        m.free_host(host)
+        assert dev.freed and dev.data is None
+        assert host.freed and host.data is None
+
     def test_fill(self):
         b = host_buffer(0, 8, np.zeros(8, dtype=np.uint8))
         b.fill(7)

@@ -27,6 +27,20 @@ class TestRunners:
                            window=16)
         assert 1e6 < bw < 1e12
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_points_free_their_buffers(self, model):
+        # a finished point must not leave its payloads to the collector
+        import repro.api as api
+
+        for run in (lambda s: run_latency(model, 64 * KB, "intra", session=s,
+                                          iters=2, skip=1),
+                    lambda s: run_bandwidth(model, 64 * KB, "inter", session=s,
+                                            loops=1, skip=1, window=4)):
+            sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
+            run(sess)
+            allocators = sess.machine.allocators.values()
+            assert sum(a.live_buffers for a in allocators) == 0
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             run_latency("mpich", 8)

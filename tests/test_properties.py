@@ -3,7 +3,7 @@
 import heapq
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ampi.matching import ANY_SOURCE, ANY_TAG, AmpiEnvelope, MatchEngine, PostedMpiRecv
@@ -132,16 +132,37 @@ def test_matching_engine_agrees_with_oracle(ops):
     a=st.integers(1, 1 << 22),
     b=st.integers(1, 1 << 22),
 )
+# one byte past a chunk pays a whole chunk's fixed cost: the effective
+# bandwidth is not monotone in the size, only over whole chunks
+@example(a=349533, b=524289)
 @settings(max_examples=100)
 def test_pipeline_bandwidth_monotone(a, b):
+    """Pipelined bandwidth is monotone within the first chunk and over
+    whole-chunk multiples; the overhang of a partial chunk costs its wire
+    time plus at most one per-chunk term."""
     from repro.config import MachineConfig
     from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth
 
     cfg = MachineConfig.summit()
+    chunk = cfg.ucx.pipeline_chunk
+
+    def bw(size):
+        return pipeline_effective_bandwidth(cfg, size)
+
+    def seconds(size):
+        return size / bw(size)
+
     lo, hi = min(a, b), max(a, b)
-    assert pipeline_effective_bandwidth(cfg, lo) <= (
-        pipeline_effective_bandwidth(cfg, hi) * (1 + 1e-9)
-    )
+    if hi <= chunk:
+        assert bw(lo) <= bw(hi) * (1 + 1e-9)
+    k_lo, k_hi = max(lo // chunk, 1), max(hi // chunk, 1)
+    assert bw(k_lo * chunk) <= bw(k_hi * chunk) * (1 + 1e-9)
+    for size in (lo, hi):
+        whole = (size // chunk) * chunk
+        if whole and size > whole:
+            overhang = ((size - whole) / cfg.topology.nic.bandwidth
+                        + cfg.ucx.pipeline_per_chunk_cost)
+            assert seconds(size) <= (seconds(whole) + overhang) * (1 + 1e-9)
 
 
 @given(size=st.integers(0, 1 << 23))

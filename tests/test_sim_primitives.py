@@ -53,6 +53,30 @@ class TestSimEvent:
         assert seen == ["before", "after"]
 
 
+    def test_callbacks_start_unallocated(self, sim):
+        ev = SimEvent(sim)
+        assert ev._callbacks is None
+        ev.succeed()  # nobody waiting: dispatch is a no-op
+        assert ev._callbacks is None
+
+    def test_one_and_many_callbacks_run_in_order(self, sim):
+        for n in (1, 2, 5):
+            ev = SimEvent(sim)
+            seen = []
+            for i in range(n):
+                ev.add_callback(lambda e, i=i: seen.append(i))
+            ev.succeed()
+            assert seen == list(range(n))
+            assert ev._callbacks is None
+
+    def test_callback_added_during_dispatch_runs_immediately(self, sim):
+        ev = SimEvent(sim)
+        seen = []
+        ev.add_callback(lambda e: e.add_callback(lambda e2: seen.append("inner")))
+        ev.succeed()
+        assert seen == ["inner"]
+
+
 class TestCombinators:
     def test_allof_collects_values_in_input_order(self, sim):
         evs = [SimEvent(sim) for _ in range(3)]

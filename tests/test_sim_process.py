@@ -93,6 +93,33 @@ def test_unjoined_exception_reraises(sim):
         sim.run()
 
 
+def test_unjoined_exception_reraises_at_first_resume(sim):
+    # no joiner ever registered: the None-initialised callback slot must
+    # still read as "nobody observing"
+    def gen():
+        raise RuntimeError("at start")
+        yield  # pragma: no cover
+
+    proc = Process(sim, gen())
+    assert proc._callbacks is None
+    with pytest.raises(RuntimeError, match="at start"):
+        sim.run()
+
+
+def test_joined_exception_does_not_reraise(sim):
+    def gen():
+        yield Timeout(sim, 0.1)
+        raise RuntimeError("observed")
+
+    proc = Process(sim, gen())
+    failures = []
+    proc.add_callback(lambda e: failures.append(e.ok))
+    sim.run()
+    assert failures == [False]
+    with pytest.raises(RuntimeError, match="observed"):
+        proc.result()
+
+
 def test_interrupt_delivers_cause(sim):
     causes = []
 

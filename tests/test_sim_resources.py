@@ -36,6 +36,24 @@ def test_waiters_granted_fifo(sim):
     assert order == ["a", "b", "c"]
 
 
+def test_acquire_now_takes_a_free_slot_with_acquire_accounting(sim):
+    r, ref = Resource(sim, capacity=2), Resource(sim, capacity=2)
+    sim.schedule(1.0, lambda: (r.acquire_now(), ref.acquire()))
+    sim.run()
+    r.acquire_now()
+    ref.acquire()
+    assert r.in_use == ref.in_use == 2
+    assert r.total_acquisitions == ref.total_acquisitions == 2
+    with pytest.raises(RuntimeError):
+        r.acquire_now()  # no free slot: never jumps the waiter queue
+    waiter = r.acquire()
+    r.release()
+    assert waiter.triggered  # FIFO waiters keep their event semantics
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    assert r.utilisation() == ref.utilisation()
+
+
 def test_release_idle_rejected(sim):
     r = Resource(sim)
     with pytest.raises(RuntimeError):

@@ -384,6 +384,93 @@ class TestCancel:
         assert req.completed
 
 
+class TestRendezvousBookkeeping:
+    """Per-rendezvous state lives only as long as the rendezvous."""
+
+    def test_live_maps_empty_after_completed_rendezvous(self):
+        m, ctx, wa, wb = make_pair()
+        size = 256 * KB
+        src, dst = m.alloc_host(0, size), m.alloc_host(0, size)
+        n = 20
+        for i in range(n):
+            wb.tag_recv_nb(dst, size, tag=i)
+            wa.tag_send_nb(wa.ep(1), src, size, tag=i)
+        m.sim.run()
+        assert len(wa._rndv_done) == n  # kept for late-FIN detection
+        assert not wa._rndv_remote and not wa._rndv_started
+        assert not wa.pending_rndv_sends
+
+    def test_live_maps_empty_after_truncation_and_cancel(self):
+        m, ctx, wa, wb = make_pair()
+        size = 256 * KB
+        src, small = m.alloc_host(0, size), m.alloc_host(0, size // 2)
+        rreq = wb.tag_recv_nb(small, size // 2, tag=1)
+        wa.tag_send_nb(wa.ep(1), src, size, tag=1)
+        sreq = wa.tag_send_nb(wa.ep(1), src, size, tag=2)
+        m.sim.run()  # tag 1 truncates; tag 2's RTS waits unmatched
+        assert rreq.status is UcsStatus.ERR_MESSAGE_TRUNCATED
+        assert wa.cancel(sreq) is True
+        assert not wa._rndv_remote and not wa._rndv_started
+        assert wa._rndv_cancelled and len(wa._rndv_done) == 2
+
+
+class TestLazyRequestEvent:
+    """``UcxRequest.event`` exists only once read; a late read behaves as
+    if the event had been there all along."""
+
+    def test_event_read_after_ok_completion(self):
+        m, ctx, wa, wb = make_pair()
+        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
+        rreq = wb.tag_recv_nb(dst, 64, tag=3)
+        sreq = wa.tag_send_nb(wa.ep(1), src, 64, tag=3)
+        m.sim.run()
+        for req in (sreq, rreq):
+            assert req.status is UcsStatus.OK
+            assert req.event.triggered and req.event.ok
+            assert req.event.result() is req
+            assert req.event is req.event  # created once
+
+    def test_event_read_after_error_completion(self):
+        m, ctx, wa, wb = make_pair()
+        rreq = wb.tag_recv_nb(m.alloc_host(0, 64), 64, tag=3)
+        assert wb.cancel(rreq) is True
+        assert rreq.event.triggered and rreq.event.ok
+        assert rreq.event.result() is rreq
+        assert rreq.status is UcsStatus.ERR_CANCELED
+
+    def test_process_yielding_late_event_resumes_same_instant(self):
+        from repro.sim.process import Process
+
+        m, ctx, wa, wb = make_pair()
+        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
+        rreq = wb.tag_recv_nb(dst, 64, tag=4)
+        wa.tag_send_nb(wa.ep(1), src, 64, tag=4)
+        m.sim.run()
+        done_at = rreq.completed_at
+        resumed = []
+
+        def waiter():
+            got = yield rreq.event
+            resumed.append((m.sim.now, got))
+
+        t0 = m.sim.now
+        Process(m.sim, waiter())
+        m.sim.run()
+        assert resumed == [(t0, rreq)] and done_at <= t0
+
+    def test_event_read_before_completion_triggers_after_callback(self):
+        m, ctx, wa, wb = make_pair()
+        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
+        seen = []
+        rreq = wb.tag_recv_nb(dst, 64, tag=5,
+                              cb=lambda r: seen.append(r.event.triggered))
+        ev = rreq.event
+        assert not ev.triggered
+        wa.tag_send_nb(wa.ep(1), src, 64, tag=5)
+        m.sim.run()
+        assert seen == [False] and ev.triggered and ev.result() is rreq
+
+
 class TestHostFreeHooks:
     def test_free_host_invalidates_reg_cache(self):
         m, ctx, wa, wb = make_pair(gpus=(0, 6))  # inter-node: host rndv pins
